@@ -37,7 +37,12 @@ from repro.core.config import PipelineConfig
 from repro.core.ring import SlotRing
 from repro.core.types import ClusterAssignment
 from repro.clustering.dynamic import DynamicClusterTracker
-from repro.exceptions import ConfigurationError, DataError, ReproError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    DataError,
+    ReproError,
+)
 from repro.forecasting.bank import (
     BankForecastError,
     ForecasterBank,
@@ -47,6 +52,7 @@ from repro.forecasting.bank import (
 )
 from repro.forecasting.membership import forecast_membership
 from repro.forecasting.offsets import estimate_offsets
+from repro.forecasting.window import WindowState
 
 logger = logging.getLogger(__name__)
 
@@ -170,6 +176,12 @@ class OnlinePipeline:
         self._label_history: List[SlotRing] = [
             SlotRing(window) for _ in self._groups
         ]
+        # Derived from those windows (one per group), advanced one slot
+        # per forecast; valid only while `_windows_at` == time − 1, i.e.
+        # the previous forecast completed.  Never checkpointed (see
+        # drop_windows).
+        self._windows: List[WindowState] = []
+        self._windows_at: Optional[int] = None
         self._time = 0
         self._last_train: Optional[int] = None
         #: Cumulative wall-clock seconds per stage across all steps.
@@ -282,6 +294,7 @@ class OnlinePipeline:
         if index_map.size < 1:
             raise ConfigurationError("index_map must cover >= 1 node")
         self.num_nodes = int(index_map.size)
+        self.drop_windows()
         self._stored_history.reindex(index_map, fill=0.0)
         for ring in self._label_history:
             ring.reindex(index_map, fill=0)
@@ -315,6 +328,89 @@ class OnlinePipeline:
             "banks": [b.get_state() for b in self._banks],
         }
 
+    def check_state(self, state: Dict[str, object]) -> None:
+        """Reject a state whose node-aligned arrays do not fit here.
+
+        The history rings and each tracker's label and centroid series
+        are checked against the state's N, this pipeline's d, K and
+        ``M' + 1``, in shape and dtype — the forecast after a restore
+        rebuilds its window state from exactly these arrays.  Nothing
+        is mutated.
+
+        Raises:
+            DataError: The state has the wrong number of resource groups.
+            CheckpointError: An array does not fit; the message names the
+                state member.
+        """
+        groups = len(self._groups)
+        for key in ("label_history", "trackers", "banks"):
+            if len(state[key]) != groups:
+                raise DataError(
+                    f"state holds {len(state[key])} {key} entries, "
+                    f"pipeline has {groups} resource groups"
+                )
+        num_nodes = int(state.get("num_nodes", self.num_nodes))
+        num_clusters = self.config.clustering.num_clusters
+        window = self.config.forecasting.membership_lookback + 1
+
+        def check(member: str, value: object, shape: Tuple,
+                  dtype: object) -> None:
+            """``dtype`` is exact, or a string of allowed dtype kinds;
+            None in ``shape`` matches any length."""
+            if not isinstance(value, np.ndarray):
+                problem = f"is {type(value).__name__}, not an array"
+            elif value.ndim != len(shape) or any(
+                want not in (None, have)
+                for have, want in zip(value.shape, shape)
+            ):
+                expected = tuple("*" if n is None else n for n in shape)
+                problem = f"has shape {value.shape}, expected {expected}"
+            elif (
+                value.dtype.kind not in dtype if isinstance(dtype, str)
+                else value.dtype != dtype
+            ):
+                problem = f"has dtype {value.dtype}, expected {dtype!r}"
+            else:
+                return
+            raise CheckpointError(
+                f"checkpoint member pipeline.{member} {problem}"
+            )
+
+        def check_ring(member: str, ring: Dict[str, object]) -> int:
+            if int(ring["maxlen"]) != window:
+                raise CheckpointError(
+                    f"checkpoint member pipeline.{member}.maxlen is "
+                    f"{ring['maxlen']}, expected M' + 1 = {window}"
+                )
+            return 0 if ring["window"] is None else len(ring["window"])
+
+        stored = state["stored_history"]
+        length = check_ring("stored_history", stored)
+        if length:
+            check("stored_history.window", stored["window"],
+                  (None, num_nodes, self.num_resources), self._dtype)
+        for g, group in enumerate(self._groups):
+            member = f"label_history[{g}]"
+            ring = state["label_history"][g]
+            if check_ring(member, ring) or length:
+                check(f"{member}.window", ring["window"],
+                      (length, num_nodes), "iu")
+            tracker = state["trackers"][g]
+            labels, centroids = tracker["labels"], tracker["centroids"]
+            slots = 0
+            if labels is not None or centroids is not None:
+                check(f"trackers[{g}].labels", labels, (None, num_nodes),
+                      "iu")
+                slots = labels.shape[0]
+                check(f"trackers[{g}].centroids", centroids,
+                      (slots, num_clusters, len(group)), "f")
+            if slots < length:
+                raise CheckpointError(
+                    f"checkpoint member pipeline.trackers[{g}].labels "
+                    f"holds {slots} slots, fewer than the {length} of "
+                    "the history window"
+                )
+
     def set_state(
         self, state: Dict[str, object], *, adopt: bool = False
     ) -> None:
@@ -329,14 +425,13 @@ class OnlinePipeline:
                 dominant arrays) as ring buffers without copying — the
                 zero-copy checkpoint-resume path.  Cluster-level state
                 (trackers, banks) is small and always copied.
+
+        Raises:
+            CheckpointError: See :meth:`check_state`; raised before any
+                state is restored.
         """
-        groups = len(self._groups)
-        for key in ("label_history", "trackers", "banks"):
-            if len(state[key]) != groups:
-                raise DataError(
-                    f"state holds {len(state[key])} {key} entries, "
-                    f"pipeline has {groups} resource groups"
-                )
+        self.check_state(state)
+        self.drop_windows()
         self._time = int(state["time"])
         # Older checkpoints predate fleet churn and carry no geometry;
         # they were always resumed at the constructed size.
@@ -356,6 +451,19 @@ class OnlinePipeline:
             tracker.set_state(tracker_state)
         for bank, bank_state in zip(self._banks, state["banks"]):
             bank.set_state(bank_state)
+
+    def drop_windows(self) -> None:
+        """Forget the derived window states; the next forecast rebuilds
+        them from the rings, one slot at a time, bit-identically.
+
+        Called on restore and fleet churn, which invalidate them, and
+        by :meth:`repro.session.StreamSession.snapshot`, which does not
+        checkpoint them.
+        """
+        # repro: noqa STATE-003(derived from the checkpointed rings)
+        self._windows = []
+        # repro: noqa STATE-003(derived from the checkpointed rings)
+        self._windows_at = None
 
     # ------------------------------------------------------------------
     # Model management
@@ -392,6 +500,8 @@ class OnlinePipeline:
             for h in range(1, horizon + 1)
         }
         memberships_all = np.zeros((self.num_groups, self.num_nodes), dtype=int)
+        if self._windows_at != self._time - 1:
+            self._windows = [WindowState() for _ in self._groups]
 
         for g, group in enumerate(self._groups):
             # Forecast all clusters of this group in one bank call.
@@ -419,19 +529,22 @@ class OnlinePipeline:
                 ).copy()
 
             memberships = forecast_membership(
-                list(self._label_history[g]), lookback
+                list(self._label_history[g]), lookback, self._windows[g]
             )
             memberships_all[g] = memberships
 
             # The ring's maxlen is exactly lookback + 1 (set in
             # __init__), so the whole window is the whole ring.
             window = len(self._stored_history)
-            stored_group = [z[:, group] for z in self._stored_history]
+            # Groups are contiguous resource ranges: slice, do not copy.
+            columns = slice(group[0], group[-1] + 1)
+            stored_group = [z[:, columns] for z in self._stored_history]
             centroid_group = [
                 a.centroids for a in self._trackers[g].assignments[-window:]
             ]
             offsets = estimate_offsets(
-                stored_group, centroid_group, memberships, lookback
+                stored_group, centroid_group, memberships, lookback,
+                state=self._windows[g],
             )
 
             for h in range(1, horizon + 1):
@@ -440,6 +553,7 @@ class OnlinePipeline:
                     per_cluster[h - 1][memberships] + offsets
                 )
 
+        self._windows_at = self._time
         output.node_forecasts = node_forecasts
         output.centroid_forecasts = centroid_forecasts
         output.memberships = memberships_all

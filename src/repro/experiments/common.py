@@ -25,6 +25,7 @@ from repro.datasets import (
 from repro.exceptions import ConfigurationError
 from repro.forecasting.membership import forecast_membership
 from repro.forecasting.offsets import estimate_offsets
+from repro.forecasting.window import WindowState
 
 #: Dataset loaders in paper order.
 DATASET_LOADERS: Dict[str, Callable[..., TraceDataset]] = {
@@ -159,7 +160,9 @@ def sample_hold_forecast_rmse(
     The forecasted centroid is held at its current value
     (``ĉ_{j,t+h} = c_{j,t}``); membership is the majority vote over
     ``[t − M', t]`` and the offset is Eq. 12 — i.e. the full Sec. V-C
-    machinery with the S&H temporal model.  Used by Figs. 10, 11 and
+    machinery with the S&H temporal model, advanced one slot at a time
+    through one :class:`~repro.forecasting.window.WindowState` exactly
+    as in the online pipeline.  Used by Figs. 10, 11 and
     Table III, which all fix the forecaster to sample-and-hold.
 
     Args:
@@ -171,9 +174,9 @@ def sample_hold_forecast_rmse(
         start: First slot to forecast from (e.g. after an initial
             collection phase).
         offset_mode: ``"clipped"`` (Eq. 12, the paper), ``"raw"``
-            (offsets without α-clipping) or ``"none"`` (no per-node
-            offset; pure centroid estimation as in Sec. VI-C) — used by
-            the ablation experiments.
+            (offsets without α-clipping, i.e. α = 1) or ``"none"`` (no
+            per-node offset; pure centroid estimation as in Sec. VI-C) —
+            used by the ablation experiments.
 
     Returns:
         ``{h: RMSE(T, h)}``.
@@ -184,29 +187,34 @@ def sample_hold_forecast_rmse(
             f"{offset_mode!r}"
         )
     num_steps = truth.shape[0]
-    label_history: List[np.ndarray] = []
+    label_window: List[np.ndarray] = []
     sq_sums = {h: 0.0 for h in horizons}
     counts = {h: 0 for h in horizons}
     window = membership_lookback + 1
     stored_window: List[np.ndarray] = []
     centroid_window: List[np.ndarray] = []
+    state = WindowState()
     for t in range(num_steps):
         assignment = assignments[t]
-        label_history.append(assignment.labels)
+        label_window.append(assignment.labels)
         stored_window.append(stored[t][:, np.newaxis])
         centroid_window.append(assignment.centroids)
         if len(stored_window) > window:
+            label_window.pop(0)
             stored_window.pop(0)
             centroid_window.pop(0)
         if t < start:
             continue
-        memberships = forecast_membership(label_history, membership_lookback)
+        memberships = forecast_membership(
+            label_window, membership_lookback, state
+        )
         if offset_mode == "none":
             offsets = np.zeros(truth.shape[1])
         else:
             offsets = estimate_offsets(
                 stored_window, centroid_window, memberships,
                 membership_lookback, clip=(offset_mode == "clipped"),
+                state=state,
             )[:, 0]
         held_centroids = assignment.centroids[:, 0]
         prediction = held_centroids[memberships] + offsets

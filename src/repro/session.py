@@ -645,6 +645,11 @@ class StreamSession:
                 f"{self.channel.pending} undelivered messages in the "
                 "channel; snapshot between slots, not mid-slot"
             )
+        # The derived window states are not checkpointed; freeing them
+        # before the state is copied keeps the snapshot's peak memory at
+        # one copy of the session.  A session that goes on rebuilds
+        # them on its next forecast.
+        self.pipeline.drop_windows()
         state: Dict[str, object] = {
             "fleet": self.fleet.get_state(),
             "transport": self.channel.stats.get_state(),
@@ -711,6 +716,8 @@ class StreamSession:
                 f"{self.num_nodes}x{self.num_resources}"
             )
         state = checkpoint.state
+        # Validate the pipeline's arrays before the fleet is touched.
+        self.pipeline.check_state(state["pipeline"])
         adopt = checkpoint.claim_adoption()
         if adopt:
             # Zero-copy resume: the fleet's columns and the pipeline's
