@@ -272,23 +272,18 @@ ENTRIES = [
         "(Not in the paper; realizes its 'large-scale distributed "
         "systems' premise.) The collection stage should scale to "
         "million-node fleets when per-node Python objects are "
-        "replaced by one structure-of-arrays fleet state, and neither "
-        "partitioning the fleet into contiguous node shards nor "
-        "servicing those shards from worker processes may change a "
-        "single bit of the result.",
+        "replaced by one structure-of-arrays fleet state, and "
+        "partitioning the fleet into contiguous node shards may not "
+        "change a single bit of the result.",
         "Confirmed: the columnar path is two orders of magnitude "
         "faster than the object-per-node loop (hundreds of times at "
         "N = 1k–10k, far above the 5x acceptance bar) and handles "
         "N = 1M in seconds where the object loop would take hours; "
-        "the 4-way sharded run, the persistent shared-memory worker "
-        "pool, and the legacy pickle pool are all asserted "
-        "bit-identical to single-shard at every N.  The shared-memory "
-        "pool never regresses against the pickle pool at their "
-        "largest common N (it stops serializing the trace per run); "
-        "its beat-columnar-at-1M bar only engages on multi-core "
-        "boxes — the recorded run's single CPU time-slices the "
-        "workers, so wall-clock parallel wins are not observable "
-        "there.",
+        "the 4-way in-process sharded run is asserted bit-identical "
+        "to single-shard at every N.  Collection is under 1% of an "
+        "end-to-end run, so the shared-memory worker pool that once "
+        "serviced the shards was deleted: it never won end to end "
+        "(ROADMAP item 3).",
     ),
     (
         "model_bank",

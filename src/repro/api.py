@@ -10,12 +10,10 @@ subsumes the two historical entry points:
   collection, clustering and forecasting and returns a
   :class:`RunResult` with the paper's RMSE metrics, transport stats and
   per-stage wall-clock timings (what :func:`repro.core.pipeline.
-  run_pipeline` did).  ``run(trace, shards=K, workers=W)`` additionally
+  run_pipeline` did).  ``run(trace, shards=K)`` additionally
   partitions the fleet into contiguous node shards for the collection
-  stage (across a persistent shared-memory
-  :class:`~repro.simulation.shard_pool.ShardPool` by default, or the
-  legacy pickle-per-shard pool with ``pool="pickle"``) and merges them
-  into one columnar :class:`~repro.simulation.fleet.FleetState` —
+  stage, runs them one after another in process, and merges them into
+  one columnar :class:`~repro.simulation.fleet.FleetState` —
   bit-identical to the single-shard run;
 * **streaming** — :meth:`Engine.session` opens a long-lived, stateful
   :class:`~repro.session.StreamSession` with partial ingestion, a
@@ -54,7 +52,6 @@ import inspect
 import json
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -83,7 +80,6 @@ from repro.simulation.fleet import (
     shard_slices,
 )
 from repro.simulation.node import LocalNode
-from repro.simulation.shard_pool import ShardPool
 from repro.simulation.transport import Channel, TransportStats
 
 
@@ -104,27 +100,6 @@ def _shard_aware_kwargs(
     if "node_offset" in params and "total_nodes" in params:
         return {"node_offset": node_offset, "total_nodes": total_nodes}
     return {}
-
-
-def _run_collection_shard(
-    backend_name: str,
-    trace: np.ndarray,
-    transmission: TransmissionConfig,
-    node_offset: int,
-    total_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run one collection shard — a contiguous node slice of the trace.
-
-    Module-level (hence picklable) so it can run in a worker process;
-    returns plain arrays to keep the inter-process payload minimal.
-    """
-    backend = COLLECTION_BACKENDS.get(backend_name)
-    result = backend(
-        trace,
-        transmission,
-        **_shard_aware_kwargs(backend, node_offset, total_nodes),
-    )
-    return result.stored, result.decisions
 
 
 @dataclass
@@ -560,8 +535,6 @@ class Engine:
         self,
         data: np.ndarray,
         shards: int,
-        workers: Optional[int],
-        pool: str = "shared",
     ) -> Tuple[CollectionResult, FleetState]:
         """Run the collection stage over ``shards`` contiguous node
         ranges and merge into global arrays plus a fleet snapshot.
@@ -588,34 +561,16 @@ class Engine:
                 fleet.message_counts, dim
             )
             return collected, fleet
-        ranges = shard_slices(num_nodes, shards)
-        if workers is not None and pool == "shared":
-            # Persistent shared-memory workers: the trace and both
-            # result columns live in shared segments, so shard requests
-            # and results never cross a pickle boundary.
-            with ShardPool(min(workers, shards)) as shard_pool:
-                stored, decisions = shard_pool.collect(
-                    self.collection, data, self.config.transmission, ranges
-                )
-        else:
-            tasks = [
-                (self.collection, data[:, lo:hi], self.config.transmission,
-                 lo, num_nodes)
-                for lo, hi in ranges
-            ]
-            if workers is not None:
-                # Legacy pickle-per-shard pool (pool="pickle"): each
-                # shard's trace slice and results are serialized through
-                # a ProcessPoolExecutor task.
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, shards)
-                ) as executor:
-                    parts = list(
-                        executor.map(_run_collection_shard, *zip(*tasks))
-                    )
-            else:
-                parts = [_run_collection_shard(*task) for task in tasks]
-            stored, decisions = merge_collection_shards(parts)
+        backend = COLLECTION_BACKENDS.get(self.collection)
+        parts = []
+        for lo, hi in shard_slices(num_nodes, shards):
+            part = backend(
+                data[:, lo:hi],
+                self.config.transmission,
+                **_shard_aware_kwargs(backend, lo, num_nodes),
+            )
+            parts.append((part.stored, part.decisions))
+        stored, decisions = merge_collection_shards(parts)
         fleet = FleetState.from_run(stored, decisions)
         # Transport-stats reduction over the fleet's own counter column
         # (shared array, not a copy).
@@ -631,8 +586,6 @@ class Engine:
         *,
         horizons: Optional[Sequence[int]] = None,
         shards: int = 1,
-        workers: Optional[int] = None,
-        pool: str = "shared",
     ) -> RunResult:
         """Run collection + clustering + forecasting over a full trace.
 
@@ -649,19 +602,6 @@ class Engine:
                 bit-identical to ``shards=1`` for every registered
                 backend (including :attr:`RunResult.transport`, merged
                 by the shard reduction).
-            workers: Run the shards in a process pool of this size —
-                any explicit value, including 1, creates a real pool
-                (default ``None``: in-process, one shard after another —
-                the right choice below roughly 100k nodes, where
-                process startup dominates).  Requires ``shards > 1``.
-            pool: Which multi-process pool ``workers`` selects:
-                ``"shared"`` (default) runs persistent
-                :class:`~repro.simulation.shard_pool.ShardPool` workers
-                over shared-memory trace/result segments — shard
-                requests never pickle array data; ``"pickle"`` is the
-                legacy ``ProcessPoolExecutor`` path that serializes
-                every shard's slice and results.  Both are bit-identical
-                to the in-process run.
 
         Returns:
             The :class:`RunResult` with RMSE per horizon, transport
@@ -683,28 +623,9 @@ class Engine:
             raise ConfigurationError(
                 f"cannot split {num_nodes} nodes into {shards} shards"
             )
-        if workers is not None:
-            try:
-                workers = int(operator.index(workers))
-            except TypeError:
-                raise ConfigurationError(
-                    f"workers must be an integer, got {workers!r}"
-                ) from None
-            if workers < 1:
-                raise ConfigurationError(
-                    f"workers must be >= 1, got {workers}"
-                )
-        if workers is not None and shards == 1:
-            raise ConfigurationError(
-                "workers only applies to sharded runs; pass shards > 1"
-            )
-        if pool not in ("shared", "pickle"):
-            raise ConfigurationError(
-                f"pool must be 'shared' or 'pickle', got {pool!r}"
-            )
 
         started = time.perf_counter()
-        collected, fleet = self._collect_sharded(data, shards, workers, pool)
+        collected, fleet = self._collect_sharded(data, shards)
         collection_seconds = time.perf_counter() - started
 
         pipeline = OnlinePipeline(

@@ -41,8 +41,10 @@ import io
 import json
 import os
 import zipfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -64,6 +66,38 @@ _MANIFEST_MEMBER = "manifest.json"
 
 #: Placeholder key marking an extracted array in the manifest tree.
 _ARRAY_KEY = "__array__"
+
+
+def check_array(
+    member: str, value: Any, shape: Tuple[Any, ...], dtype: Any
+) -> None:
+    """Reject a restored state array that does not fit its component.
+
+    Args:
+        member: Dotted state path named in the error (``fleet.times``).
+        value: The array read from the checkpoint.
+        shape: Expected shape; ``None`` matches any length on that axis.
+        dtype: The exact dtype, or a string of allowed dtype kinds.
+
+    Raises:
+        CheckpointError: ``value`` is not an array, or its shape or
+            dtype is wrong; the message names ``member``.
+    """
+    if not isinstance(value, np.ndarray):
+        problem = f"is {type(value).__name__}, not an array"
+    elif value.ndim != len(shape) or any(
+        want not in (None, have) for have, want in zip(value.shape, shape)
+    ):
+        expected = tuple("*" if n is None else n for n in shape)
+        problem = f"has shape {value.shape}, expected {expected}"
+    elif (
+        value.dtype.kind not in dtype if isinstance(dtype, str)
+        else value.dtype != dtype
+    ):
+        problem = f"has dtype {value.dtype}, expected {dtype!r}"
+    else:
+        return
+    raise CheckpointError(f"checkpoint member {member} {problem}")
 
 
 def _encode(value: Any, arrays: Dict[str, np.ndarray], path: str) -> Any:
@@ -175,6 +209,34 @@ def _mmap_member(
             )
     except (OSError, ValueError):
         return None
+
+
+def _verify_member(archive: zipfile.ZipFile, name: str) -> None:
+    """Stream one member through the zip reader to check its CRC-32.
+
+    The mapped load path never reads members through :mod:`zipfile`,
+    so without this pass a flipped payload byte would resume silently.
+    Reading in bounded chunks keeps memory flat; :mod:`zipfile` checks
+    the CRC when the stream reaches EOF and raises on a mismatch.
+    """
+    with archive.open(name) as member:
+        while member.read(1 << 20):
+            pass
+
+
+@contextmanager
+def _member_errors(path: Path, name: str) -> Iterator[None]:
+    """Re-raise a corrupt member's read error as a :class:`CheckpointError`.
+
+    A checksum mismatch, a broken deflate stream or an unparseable
+    payload all name the archive member that failed.
+    """
+    try:
+        yield
+    except (zipfile.BadZipFile, zlib.error, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} member {name!r} is corrupt: {exc}"
+        ) from exc
 
 
 class Checkpoint:
@@ -298,13 +360,15 @@ class Checkpoint:
                 *adoptable* (see :meth:`claim_adoption`): the first
                 session to restore it takes the mapped views as its live
                 columns, so resuming an N=1M fleet never materializes a
-                second copy of the state.  Members that cannot be mapped
-                (deflated archives from older builds) silently fall back
-                to the in-memory loader, member by member.
+                second copy of the state.  Every member's CRC-32 is
+                checked before it is mapped.  Members that cannot be
+                mapped (deflated archives from older builds) silently
+                fall back to the in-memory loader, member by member.
 
         Raises:
-            CheckpointError: On a corrupt artifact, a missing manifest,
-                or a format version this build does not understand.
+            CheckpointError: On a corrupt artifact (naming the member
+                whose checksum fails), a missing manifest, or a format
+                version this build does not understand.
         """
         path = Path(path)
         try:
@@ -315,18 +379,21 @@ class Checkpoint:
                         f"{path} has no {_MANIFEST_MEMBER}; not a repro "
                         "checkpoint"
                     )
-                manifest = json.loads(archive.read(_MANIFEST_MEMBER))
+                with _member_errors(path, _MANIFEST_MEMBER):
+                    manifest = json.loads(archive.read(_MANIFEST_MEMBER))
                 arrays: Dict[str, np.ndarray] = {}
                 for name in names - {_MANIFEST_MEMBER}:
-                    array = None
-                    if mmap:
-                        array = _mmap_member(path, archive.getinfo(name))
-                    if array is None:
-                        with archive.open(name) as member:
-                            array = np.load(
-                                io.BytesIO(member.read()),
-                                allow_pickle=False,
-                            )
+                    with _member_errors(path, name):
+                        array = None
+                        if mmap:
+                            _verify_member(archive, name)
+                            array = _mmap_member(path, archive.getinfo(name))
+                        if array is None:
+                            with archive.open(name) as member:
+                                array = np.load(
+                                    io.BytesIO(member.read()),
+                                    allow_pickle=False,
+                                )
                     arrays[name[: -len(".npy")]] = array
         except zipfile.BadZipFile as exc:
             raise CheckpointError(f"{path} is not a checkpoint: {exc}") from exc
@@ -440,6 +507,7 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "Checkpoint",
     "as_checkpoint",
+    "check_array",
     "config_mismatch",
     "encode_state",
     "state_equal",

@@ -92,17 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "bit-identical to a single shard)",
     )
     run_parser.add_argument(
-        "--workers", type=int, default=None, metavar="W",
-        help="run the shards in a pool of W persistent shared-memory "
-             "workers (default: in-process)",
-    )
-    run_parser.add_argument(
-        "--pool", choices=("shared", "pickle"), default="shared",
-        help="which worker pool --workers selects: persistent "
-             "shared-memory shard workers (default) or the legacy "
-             "pickle-per-shard process pool",
-    )
-    run_parser.add_argument(
         "--dtype", choices=SUPPORTED_DTYPES, default=None,
         help="override the config's fleet dtype (float64 keeps the "
              "bit-identity pins; float32 halves column memory for "
@@ -174,12 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--runtime", action="store_true",
         help="also drive every registered component through the "
              "checkpoint round-trip and determinism contracts",
-    )
-    lint_parser.add_argument(
-        "--sanitize", action="store_true",
-        help="also run the shared-memory sanitizer: guard-canaried "
-             "ShardPool rounds with fd/segment leak accounting and "
-             "worker-crash recovery (RT-004/RT-005, never waivable)",
     )
     lint_parser.add_argument(
         "--rules", default=None, metavar="IDS",
@@ -261,12 +244,7 @@ def _command_run_config(args: argparse.Namespace) -> int:
         return 2
     dataset = load_alibaba_like(num_nodes=num_nodes, num_steps=num_steps)
     try:
-        result = engine.run(
-            dataset.resource("cpu"),
-            shards=args.shards,
-            workers=args.workers,
-            pool=args.pool,
-        )
+        result = engine.run(dataset.resource("cpu"), shards=args.shards)
     except ReproError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
@@ -462,8 +440,8 @@ def _command_run(args: argparse.Namespace) -> int:
         print("--collection only applies to --config runs; experiments "
               "choose their own collection", file=sys.stderr)
         return 2
-    if args.shards != 1 or args.workers is not None:
-        print("--shards/--workers only apply to --config runs",
+    if args.shards != 1:
+        print("--shards only applies to --config runs",
               file=sys.stderr)
         return 2
     if args.dtype is not None:
@@ -547,7 +525,6 @@ def _command_lint(args: argparse.Namespace) -> int:
             args.paths or None,
             rules=rules,
             runtime=args.runtime,
-            sanitize=args.sanitize,
             cache_path=Path(args.cache) if args.cache else None,
             changed=changed,
         )

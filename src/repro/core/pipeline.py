@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.simulation.transport import TransportStats
 
 from repro._compat import warn_once
+from repro.checkpoint import check_array
 from repro.core.config import PipelineConfig
 from repro.core.ring import SlotRing
 from repro.core.types import ClusterAssignment
@@ -355,26 +356,7 @@ class OnlinePipeline:
 
         def check(member: str, value: object, shape: Tuple,
                   dtype: object) -> None:
-            """``dtype`` is exact, or a string of allowed dtype kinds;
-            None in ``shape`` matches any length."""
-            if not isinstance(value, np.ndarray):
-                problem = f"is {type(value).__name__}, not an array"
-            elif value.ndim != len(shape) or any(
-                want not in (None, have)
-                for have, want in zip(value.shape, shape)
-            ):
-                expected = tuple("*" if n is None else n for n in shape)
-                problem = f"has shape {value.shape}, expected {expected}"
-            elif (
-                value.dtype.kind not in dtype if isinstance(dtype, str)
-                else value.dtype != dtype
-            ):
-                problem = f"has dtype {value.dtype}, expected {dtype!r}"
-            else:
-                return
-            raise CheckpointError(
-                f"checkpoint member pipeline.{member} {problem}"
-            )
+            check_array(f"pipeline.{member}", value, shape, dtype)
 
         def check_ring(member: str, ring: Dict[str, object]) -> int:
             if int(ring["maxlen"]) != window:

@@ -39,10 +39,6 @@ KERNEL_SHARED_PATTERNS = (
     "*.forecasting.yule_walker",
     "*.scenarios.links",
     "*.scenarios.churn",
-    # Shared-memory shard workers re-run registered collection backends
-    # out of process: any ambient randomness or wall-clock read there
-    # would silently break the pooled == in-process bit-identity pin.
-    "*.simulation.shard_pool",
 )
 
 

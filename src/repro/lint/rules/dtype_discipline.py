@@ -25,7 +25,6 @@ from repro.lint.rules import LintRule, register_lint_rule
 #: fixture packages match too).
 DTYPE_MODULE_PATTERNS = (
     "*simulation.fleet",
-    "*simulation.shard_pool",
     "*core.ring",
     "*transmission.*",
     "*forecasting.bank",

@@ -716,7 +716,9 @@ class StreamSession:
                 f"{self.num_nodes}x{self.num_resources}"
             )
         state = checkpoint.state
-        # Validate the pipeline's arrays before the fleet is touched.
+        # Validate the fleet's and the pipeline's arrays before either
+        # is touched.
+        self.fleet.check_state(state["fleet"])
         self.pipeline.check_state(state["pipeline"])
         adopt = checkpoint.claim_adoption()
         if adopt:

@@ -28,7 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import SimulationError
+from repro.checkpoint import check_array
+from repro.exceptions import CheckpointError, SimulationError
 
 
 class FleetState:
@@ -276,6 +277,44 @@ class FleetState:
             "message_counts": self.message_counts.copy(),
             "policy_state": self.policy_state.copy(),
         }
+
+    def check_state(self, state: dict) -> None:
+        """Reject a state whose columns do not fit this fleet.
+
+        Every column is checked against this fleet's N, d and dtype, in
+        shape and dtype, so a damaged or crafted checkpoint fails here
+        instead of broadcasting into a live column (:meth:`set_state`)
+        or replacing it with a misshapen array (:meth:`adopt_state`).
+        Nothing is mutated.
+
+        Raises:
+            CheckpointError: A column does not fit; the message names
+                the ``fleet.<column>`` member.
+        """
+        num_nodes = self.num_nodes
+        if int(state["num_nodes"]) != num_nodes:
+            raise CheckpointError(
+                f"checkpoint member fleet.num_nodes is "
+                f"{state['num_nodes']}, fleet has {num_nodes}"
+            )
+        dim = state["dim"]
+        if self._dim is not None and (dim is None or int(dim) != self._dim):
+            raise CheckpointError(
+                f"checkpoint member fleet.dim is {dim}, fleet is fixed "
+                f"at d={self._dim}"
+            )
+        if dim is not None:
+            check_array(
+                "fleet.stored", state["stored"], (num_nodes, int(dim)),
+                self.dtype,
+            )
+        check_array("fleet.observed", state["observed"], (num_nodes,),
+                    np.dtype(bool))
+        for column in ("times", "last_update", "message_counts"):
+            check_array(f"fleet.{column}", state[column], (num_nodes,),
+                        np.dtype(np.int64))
+        check_array("fleet.policy_state", state["policy_state"],
+                    (num_nodes,), self.dtype)
 
     def set_state(self, state: dict) -> None:
         """Restore columns captured by :meth:`get_state`, *in place*.

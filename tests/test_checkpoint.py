@@ -521,3 +521,92 @@ class TestMmapResume:
             assert_outputs_equal(
                 resumed.ingest(trace[t]), reference.ingest(trace[t])
             )
+
+
+def _flip_payload_byte(path, info):
+    """Flip one byte in the middle of a member's stored payload."""
+    raw = bytearray(path.read_bytes())
+    local = info.header_offset
+    name_len = int.from_bytes(raw[local + 26:local + 28], "little")
+    extra_len = int.from_bytes(raw[local + 28:local + 30], "little")
+    start = local + 30 + name_len + extra_len
+    raw[start + info.compress_size // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+class TestCorruptArtifact:
+    """A flipped payload byte in any member fails the load loudly on
+    both paths; the mapped path checks CRC-32 before mapping."""
+
+    def members(self, tmp_path):
+        cfg = config()
+        session = Engine(cfg).session(6, 1)
+        for x in walk_trace(steps=16, seed=4):
+            session.ingest(x)
+        path = session.save(tmp_path / "good.ckpt")
+        with zipfile.ZipFile(path) as archive:
+            return cfg, path, archive.infolist()
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_every_flipped_member_is_rejected(self, tmp_path, mmap):
+        cfg, good, infos = self.members(tmp_path)
+        assert len(infos) > 10
+        for info in infos:
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(good.read_bytes())
+            _flip_payload_byte(bad, info)
+            with pytest.raises(CheckpointError) as error:
+                Checkpoint.load(bad, mmap=mmap)
+            assert info.filename in str(error.value)
+            with pytest.raises(CheckpointError):
+                Engine(cfg).resume(bad, mmap=mmap)
+
+    def test_intact_checkpoint_still_maps(self, tmp_path):
+        cfg, good, _ = self.members(tmp_path)
+        resumed = Engine(cfg).resume(good)
+        assert isinstance(resumed.fleet.stored, np.memmap)
+
+
+#: (fleet column named in the error, how the crafted checkpoint breaks it)
+CRAFTED_FLEET = [
+    ("stored", lambda f: f.update(stored=f["stored"][:-1])),
+    ("observed", lambda f: f.update(observed=f["observed"][:, None])),
+    ("times", lambda f: f.update(times=f["times"][:1])),
+    ("last_update", lambda f: f.update(
+        last_update=f["last_update"].astype(np.float64))),
+    ("message_counts", lambda f: f.update(
+        message_counts=f["message_counts"][:-1])),
+    ("policy_state", lambda f: f.update(
+        policy_state=np.append(f["policy_state"], 0.0))),
+]
+
+
+class TestWrongShapedFleetMembers:
+    """Every fleet column is checked in shape and dtype before restore
+    touches any state; a misfit names ``fleet.<column>``."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("column,crafted", CRAFTED_FLEET)
+    def test_crafted_column_names_the_member(self, tmp_path, column,
+                                             crafted, mmap):
+        cfg = config()
+        session = Engine(cfg).session(6, 1)
+        for x in walk_trace(steps=16, seed=8):
+            session.ingest(x)
+        checkpoint = session.snapshot()
+        crafted(checkpoint.state["fleet"])
+        path = checkpoint.save(tmp_path / "crafted.ckpt")
+        with pytest.raises(CheckpointError) as error:
+            Engine(cfg).resume(path, mmap=mmap)
+        assert f"fleet.{column}" in str(error.value)
+
+    def test_rejected_state_leaves_the_fleet_untouched(self):
+        from repro.simulation.fleet import FleetState
+
+        fleet = FleetState(4, dim=1)
+        state = fleet.get_state()
+        state["times"] = np.arange(4, dtype=np.int64)
+        state["last_update"] = state["last_update"].astype(np.float64)
+        with pytest.raises(CheckpointError, match="fleet.last_update"):
+            fleet.check_state(state)
+        np.testing.assert_array_equal(fleet.times, np.zeros(4))

@@ -45,10 +45,8 @@ class TestReadmeSnippet:
         assert result.transport.messages == int(result.decisions.sum())
         assert result.fleet.message_counts.shape == (16,)
         assert result.fleet.last_update.shape == (16,)
-        pooled = engine.run(
-            dataset.resource("cpu"), shards=4, workers=2
-        )
-        assert pooled.rmse_by_horizon == result.rmse_by_horizon
+        single = engine.run(dataset.resource("cpu"))
+        assert single.rmse_by_horizon == result.rmse_by_horizon
 
     def test_sessions_snippet_runs(self, tmp_path):
         # The code block from README.md §Sessions and checkpoints, at

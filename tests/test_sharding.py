@@ -1,8 +1,8 @@
 """Sharded-execution equivalence: shards>1 is bit-identical to one shard.
 
 The collection stage partitions the fleet into contiguous node shards
-(optionally across a process pool); clustering and forecasting run on
-the merged ``z_t`` matrix, so every downstream number must be exactly
+and runs them one after another; clustering and forecasting run on the
+merged ``z_t`` matrix, so every downstream number must be exactly
 the single-shard run's.
 """
 
@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Engine
+from repro.api import Engine, _shard_aware_kwargs
 from repro.cli import main as cli_main
 from repro.core.config import PipelineConfig
 from repro.exceptions import ConfigurationError
@@ -35,16 +35,27 @@ def walk_trace(steps=90, nodes=13, seed=0, dim=None):
     return np.clip(0.5 + np.cumsum(rng.normal(0, 0.03, shape), axis=0), 0, 1)
 
 
-class TestShardedEquivalence:
-    @pytest.mark.parametrize(
-        "backend", ["adaptive", "uniform", "perfect", "deadband"]
+#: (shards, backend, dtype) for every backend at both column dtypes;
+#: float64 cases keep the plain ``shards-backend`` id.
+SHARD_CASES = [
+    pytest.param(
+        shards, backend, dtype,
+        id=f"{shards}-{backend}" + ("" if dtype == "float64" else "-float32"),
     )
-    @pytest.mark.parametrize("shards", [2, 5])
-    def test_bit_identical_to_single_shard(self, backend, shards):
+    for dtype in ("float64", "float32")
+    for shards in (2, 5)
+    for backend in ("adaptive", "deadband", "perfect", "uniform")
+]
+
+
+class TestShardedEquivalence:
+    @pytest.mark.parametrize("shards,backend,dtype", SHARD_CASES)
+    def test_bit_identical_to_single_shard(self, shards, backend, dtype):
         trace = walk_trace(seed=3)
-        cfg = small_config()
+        cfg = small_config(dtype=dtype)
         single = Engine(cfg, collection=backend).run(trace)
         sharded = Engine(cfg, collection=backend).run(trace, shards=shards)
+        assert sharded.stored.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(single.stored, sharded.stored)
         np.testing.assert_array_equal(single.decisions, sharded.decisions)
         assert single.rmse_by_horizon == sharded.rmse_by_horizon
@@ -59,15 +70,6 @@ class TestShardedEquivalence:
         sharded = Engine(cfg).run(trace, shards=4)
         np.testing.assert_array_equal(single.stored, sharded.stored)
         assert single.rmse_by_horizon == sharded.rmse_by_horizon
-
-    def test_process_pool_matches_serial(self):
-        trace = walk_trace(steps=60, nodes=8, seed=7)
-        cfg = small_config()
-        serial = Engine(cfg).run(trace, shards=4)
-        pooled = Engine(cfg).run(trace, shards=4, workers=2)
-        np.testing.assert_array_equal(serial.stored, pooled.stored)
-        np.testing.assert_array_equal(serial.decisions, pooled.decisions)
-        assert serial.rmse_by_horizon == pooled.rmse_by_horizon
 
     def test_shards_equal_to_fleet_size(self):
         trace = walk_trace(steps=40, nodes=5, seed=9)
@@ -137,16 +139,21 @@ class TestShardingValidation:
         with pytest.raises(ConfigurationError):
             Engine(small_config()).run(trace, shards=5)  # > num_nodes
 
-    def test_invalid_workers(self):
-        trace = walk_trace(steps=20, nodes=4)
-        with pytest.raises(ConfigurationError):
-            Engine(small_config()).run(trace, shards=2, workers=0)
 
-    def test_workers_require_sharding(self):
-        # workers without shards would otherwise be silently ignored.
-        trace = walk_trace(steps=20, nodes=4)
-        with pytest.raises(ConfigurationError, match="shards"):
-            Engine(small_config()).run(trace, workers=4)
+class TestShardAwareKwargs:
+    def test_opt_in_signature(self):
+        def fleet_aware(trace, config, node_offset=0, total_nodes=None):
+            pass
+
+        def per_node(trace, config):
+            pass
+
+        assert _shard_aware_kwargs(fleet_aware, 5, 20) == {
+            "node_offset": 5,
+            "total_nodes": 20,
+        }
+        assert _shard_aware_kwargs(per_node, 5, 20) == {}
+        assert _shard_aware_kwargs(len, 0, 1) == {}
 
 
 class TestShardedCli:
